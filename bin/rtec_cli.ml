@@ -310,8 +310,10 @@ let recognise_cmd =
 (* --- serve --- *)
 
 (* Backpressure instrumentation for the multi-client ingest queue: depth
-   is sampled at every push/pop (under the ring lock), blocked counts
-   pushes that found the ring full and had to wait for the evaluator,
+   is sampled at every push/pop (under the ring lock) and counts queued
+   socket reads (each at most one framer chunk of input, not lines),
+   blocked counts pushes that found the ring full and had to wait for
+   the evaluator,
    dropped counts clients detached after a failed write or a mid-read
    connection error. *)
 let m_ingest_blocked = Telemetry.Metrics.counter "service.ingest.blocked"
@@ -327,10 +329,9 @@ let h_stage_decode = Telemetry.Metrics.histogram "service.stage.decode_us"
 let h_stage_emit = Telemetry.Metrics.histogram "service.stage.emit_us"
 
 (* Bounded multi-producer single-consumer ring: per-connection reader
-   threads push decoded ingestion messages, the evaluator (the main
-   thread) pops. A full ring blocks the producer, so backpressure
-   reaches a fast client through TCP flow control instead of growing the
-   heap without bound. *)
+   threads push decoded reads, the evaluator (the main thread) pops. A
+   full ring blocks the producer, so backpressure reaches a fast client
+   through TCP flow control instead of growing the heap without bound. *)
 module Ring = struct
   type 'a t = {
     buf : 'a option array;
@@ -396,15 +397,18 @@ module Ring = struct
   let capacity t = Array.length t.buf
 end
 
-(* One message per protocol line, decoded on the reader thread (each
-   with its own {!Rtec.Io.Codec} so the atom memo persists across the
-   connection) — the evaluator never touches bytes. [Client_eof] carries
-   whether the connection ended cleanly or died mid-read. *)
-type serve_msg =
-  | Ingest of Rtec.Stream.item list
-  | Tick_at of int
-  | Bad_line of string
-  | Client_eof of { slot : int; dropped : bool }
+(* One ring message per socket read: the read's protocol lines, decoded
+   in order on the reader thread (each with its own {!Rtec.Io.Codec} so
+   the atom memo persists across the connection) — the evaluator never
+   touches bytes. A read is at most one 64 KiB framer chunk, so
+   [queue_slots] bounds the queued input at that many reads, whatever
+   the line count. [Client_eof] carries whether the connection
+   ended cleanly or died mid-read. *)
+type line_msg = Ingest of Rtec.Stream.item list | Tick_at of int | Bad_line of string
+
+type serve_msg = Read of line_msg list | Client_eof of { slot : int; dropped : bool }
+
+let queue_slots = 8
 
 (* An emission target: stdout, or one client connection. A failed write
    (EPIPE surfacing as [Sys_error] once SIGPIPE is ignored) marks the
@@ -425,9 +429,12 @@ let ignore_sigpipe () =
      error ([EPIPE]/[Sys_error]) on its channel, not kill the process. *)
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
 
-(* Decode one trimmed protocol line into a queue message. *)
+(* Decode one trimmed protocol line. *)
 let decode_line codec line =
-  match Scanf.sscanf_opt line "tick(%d)." (fun t -> t) with
+  match
+    if String.starts_with ~prefix:"tick(" line then Scanf.sscanf_opt line "tick(%d)." Fun.id
+    else None
+  with
   | Some t -> Tick_at t
   | None -> (
     match Rtec.Io.Codec.items_of_string codec line with
@@ -438,22 +445,36 @@ let decode_line codec line =
     | exception Rtec.Lexer.Error { line; message } ->
       Bad_line (Printf.sprintf "line %d: %s" line message))
 
+(* The one read loop of stdin and TCP serving: frame [ic] read by read,
+   decode each read's protocol lines (blank and [%] lines skipped) and
+   hand them to [f] as one in-order list. Returns at end of input;
+   channel errors propagate. *)
+let read_decoded ic f =
+  let codec = Rtec.Io.Codec.create () and framer = Rtec.Io.Framer.create () in
+  let decoded = ref [] in
+  let on_line line =
+    if line <> "" && line.[0] <> '%' then
+      decoded :=
+        Telemetry.Metrics.time_us h_stage_decode (fun () -> decode_line codec line)
+        :: !decoded
+  in
+  let more = ref true in
+  while !more do
+    more := Rtec.Io.Framer.read framer ic on_line;
+    if !decoded <> [] then begin
+      let msgs = List.rev !decoded in
+      decoded := [];
+      f msgs
+    end
+  done
+
 let reader_thread ~slot ~ic ~queue =
-  let codec = Rtec.Io.Codec.create () in
-  let dropped = ref false in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line = "" || line.[0] = '%' then ()
-       else
-         Ring.push queue
-           (Telemetry.Metrics.time_us h_stage_decode (fun () ->
-                decode_line codec line))
-     done
-   with
-  | End_of_file -> ()
-  | Sys_error _ | Unix.Unix_error _ -> dropped := true);
-  Ring.push queue (Client_eof { slot; dropped = !dropped })
+  let dropped =
+    match read_decoded ic (fun msgs -> Ring.push queue (Read msgs)) with
+    | () -> false
+    | exception (Sys_error _ | Unix.Unix_error _) -> true
+  in
+  Ring.push queue (Client_eof { slot; dropped })
 
 let serve_cmd =
   let ed_arg =
@@ -624,6 +645,7 @@ let serve_cmd =
                        ("revisions", num st.revisions);
                        ("entities_active", num st.entities_active);
                        ("entities_evicted", num st.entities_evicted);
+                       ("retained_events", num st.retained_events);
                      ] );
                  ("ingest_queue", queue_json ());
                  ( "clients",
@@ -689,7 +711,8 @@ let serve_cmd =
     in
     (* Everything mode-independent: tick/auto-tick plumbing around the
        ingest loop, then the final drain and summary. [loop] is the only
-       part stdin and TCP serving disagree on. *)
+       part stdin and TCP serving disagree on: it feeds every decoded
+       line, in order, to the handler it is given. *)
     let session ~sinks ~cleanup ~loop =
       let fail e =
         cleanup ();
@@ -738,7 +761,10 @@ let serve_cmd =
           | _ -> ())
         | exception Invalid_argument msg -> bad_line msg
       in
-      loop ~tick ~ingest ~bad_line;
+      loop (function
+        | Tick_at t -> tick ~now:t
+        | Ingest items -> ingest items
+        | Bad_line msg -> bad_line msg);
       (match Runtime.Service.drain svc with
       | Error e -> fail e
       | Ok r ->
@@ -760,27 +786,14 @@ let serve_cmd =
     in
     match listen with
     | None ->
-      (* Synchronous stdin serving: one long-lived codec, no threads. *)
-      let codec = Rtec.Io.Codec.create () in
+      (* Synchronous stdin serving: the readers' framing and decoding,
+         no threads. *)
       session
         ~sinks:[ sink_of_channel 0 stdout ]
         ~cleanup:(fun () -> stop_admin ())
-        ~loop:(fun ~tick ~ingest ~bad_line ->
-          try
-            while true do
-              let line = String.trim (input_line stdin) in
-              if line = "" || line.[0] = '%' then ()
-              else
-                match
-                  Telemetry.Metrics.time_us h_stage_decode (fun () ->
-                      decode_line codec line)
-                with
-                | Tick_at t -> tick ~now:t
-                | Ingest items -> ingest items
-                | Bad_line msg -> bad_line msg
-                | Client_eof _ -> assert false
-            done
-          with End_of_file -> set_client_state 0 "eof")
+        ~loop:(fun handle ->
+          read_decoded stdin (List.iter handle);
+          set_client_state 0 "eof")
     | Some port ->
       ignore_sigpipe ();
       let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -793,6 +806,9 @@ let serve_cmd =
       let conns =
         List.init clients (fun slot ->
             let conn, _ = Unix.accept sock in
+            (* Emissions are whole snapshots flushed at once: Nagle would
+               hold their tail back until the client's (delayed) ACK. *)
+            Unix.setsockopt conn Unix.TCP_NODELAY true;
             Telemetry.Flight.record Client_connect ~a:slot ();
             set_client_state slot "streaming";
             Telemetry.Log.info ~src:"serve" "client connected"
@@ -802,7 +818,7 @@ let serve_cmd =
       let sinks =
         List.map (fun (slot, conn) -> sink_of_channel slot (Unix.out_channel_of_descr conn)) conns
       in
-      let queue = Ring.create 1024 in
+      let queue = Ring.create queue_slots in
       queue_probe :=
         Some (fun () -> (Ring.depth queue, Ring.high_water queue, Ring.capacity queue));
       let readers =
@@ -824,13 +840,11 @@ let serve_cmd =
             conns;
           (try Unix.close sock with Unix.Unix_error _ -> ());
           stop_admin ())
-        ~loop:(fun ~tick ~ingest ~bad_line ->
+        ~loop:(fun handle ->
           let open_clients = ref clients in
           while !open_clients > 0 do
             match Ring.pop queue with
-            | Ingest items -> ingest items
-            | Tick_at t -> tick ~now:t
-            | Bad_line msg -> bad_line msg
+            | Read msgs -> List.iter handle msgs
             | Client_eof { slot; dropped } ->
               decr open_clients;
               if dropped then begin

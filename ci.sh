@@ -68,9 +68,27 @@ dune exec bin/rtec_cli.exe -- recognise "$EXPLAIN_DIR/ds.ed" "$EXPLAIN_DIR/ds.st
   -k "$EXPLAIN_DIR/ds.kb" -w 3600 -s 1800 | grep -v '^%' > "$EXPLAIN_DIR/batch.out"
 dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb" \
   -w 3600 -s 1800 --horizon 1800 --tick-every 1800 < "$EXPLAIN_DIR/ds.stream" \
-  | grep -v '^%' > "$EXPLAIN_DIR/serve.out"
+  > "$EXPLAIN_DIR/serve.full"
+grep -v '^%' "$EXPLAIN_DIR/serve.full" > "$EXPLAIN_DIR/serve.out"
 diff "$EXPLAIN_DIR/batch.out" "$EXPLAIN_DIR/serve.out" \
   || { echo "serve smoke: serve output diverges from recognise"; exit 1; }
+# The same stream without its trailing newline, so its last line (an
+# event) is only delivered at end of input by the chunked line framer.
+# Its intervals must still match `recognise`, and the whole output —
+# run stats included, which count every appended line — the newline-
+# terminated session's.
+tail -n 1 "$EXPLAIN_DIR/ds.stream" | grep -q '^happensAt(' \
+  || { echo "serve smoke: stream does not end with an event"; exit 1; }
+head -c -1 "$EXPLAIN_DIR/ds.stream" > "$EXPLAIN_DIR/nonl.stream"
+[ "$(tail -c 1 "$EXPLAIN_DIR/nonl.stream")" = "." ] \
+  || { echo "serve smoke: trailing newline not stripped"; exit 1; }
+dune exec bin/rtec_cli.exe -- serve "$EXPLAIN_DIR/ds.ed" -k "$EXPLAIN_DIR/ds.kb" \
+  -w 3600 -s 1800 --horizon 1800 --tick-every 1800 < "$EXPLAIN_DIR/nonl.stream" \
+  > "$EXPLAIN_DIR/nonl.full"
+grep -v '^%' "$EXPLAIN_DIR/nonl.full" | diff "$EXPLAIN_DIR/batch.out" - \
+  || { echo "serve smoke: unterminated last line diverges from recognise"; exit 1; }
+diff "$EXPLAIN_DIR/serve.full" "$EXPLAIN_DIR/nonl.full" \
+  || { echo "serve smoke: unterminated last line was not ingested"; exit 1; }
 
 # Multi-client serve smoke: two concurrent TCP clients each send half the
 # maritime stream into one `serve --listen --clients 2` session, and every

@@ -321,6 +321,57 @@ module Codec = struct
     items_of_string_ctx ~ctx:"Io.items_of_string" t source
 end
 
+module Framer = struct
+  (* Chunked line framing for the serve protocol: one [input] per read,
+     complete lines split out of it, the bytes after its last newline
+     carried into the next read. A line fully inside one read is cut
+     straight out of the read buffer; only a line spanning reads goes
+     through [carry]. *)
+  type t = { buf : Bytes.t; carry : Buffer.t }
+
+  let create () = { buf = Bytes.create 65536; carry = Buffer.create 256 }
+
+  (* [String.trim]'s whitespace set. *)
+  let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+  let trimmed b lo hi =
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi && is_space (Bytes.unsafe_get b !lo) do incr lo done;
+    while !hi > !lo && is_space (Bytes.unsafe_get b (!hi - 1)) do decr hi done;
+    Bytes.sub_string b !lo (!hi - !lo)
+
+  let take_carry t =
+    let line = String.trim (Buffer.contents t.carry) in
+    Buffer.clear t.carry;
+    line
+
+  let feed t b off len f =
+    let stop = off + len in
+    let start = ref off in
+    for i = off to stop - 1 do
+      if Bytes.unsafe_get b i = '\n' then begin
+        if Buffer.length t.carry = 0 then f (trimmed b !start i)
+        else begin
+          Buffer.add_subbytes t.carry b !start (i - !start);
+          f (take_carry t)
+        end;
+        start := i + 1
+      end
+    done;
+    Buffer.add_subbytes t.carry b !start (stop - !start)
+
+  let finish t f = if Buffer.length t.carry > 0 then f (take_carry t)
+
+  let read t ic f =
+    match input ic t.buf 0 (Bytes.length t.buf) with
+    | 0 ->
+      finish t f;
+      false
+    | n ->
+      feed t t.buf 0 n f;
+      true
+end
+
 let stream_of_string source =
   Stream.of_items
     (Codec.items_of_string_ctx ~ctx:"Io.stream_of_string" (Codec.create ()) source)

@@ -36,6 +36,34 @@ module Codec : sig
   val items_of_string : t -> string -> Stream.item list
 end
 
+(** Chunked line framing — the one line splitter of the serve protocol,
+    on stdin and on every TCP connection. A framer reads its input in
+    chunks of up to 64 KiB, yields the lines each chunk completes, and
+    carries an unterminated tail over to the next chunk.
+    Lines come out exactly as [String.trim (input_line ic)] would return
+    them, in order: CRLF endings, blank and [%] lines included (callers
+    skip those), a last line without a trailing newline delivered at end
+    of input, and lines longer than a chunk reassembled across reads. *)
+module Framer : sig
+  type t
+
+  val create : unit -> t
+
+  val read : t -> in_channel -> (string -> unit) -> bool
+  (** [read t ic f] performs one [input] from [ic] (blocking until at
+      least one byte or end of input) and calls [f] on every line that
+      read completes. At end of input it calls [f] on the carried
+      unterminated line, if any, and returns [false]; otherwise [true].
+      Channel exceptions ([Sys_error]) propagate. *)
+
+  val feed : t -> Bytes.t -> int -> int -> (string -> unit) -> unit
+  (** [feed t b off len f] frames the bytes [b.[off .. off+len-1]] as the
+      next read — {!read} without the channel. *)
+
+  val finish : t -> (string -> unit) -> unit
+  (** End of input: [f] on the carried unterminated line, if any. *)
+end
+
 val knowledge_to_string : Knowledge.t -> string
 val knowledge_of_string : string -> Knowledge.t
 

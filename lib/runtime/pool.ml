@@ -12,19 +12,21 @@ let map ~jobs ~around f items =
   else begin
     let jobs = max 1 (min jobs n) in
     let results = Array.make n None in
-    let next = Atomic.make 0 in
+    let next = Atomic.make jobs in
     let worker w () =
       (* [around] brackets the whole domain (telemetry fork/join), not
-         each task: accumulators are per-domain, not per-shard. *)
+         each task: accumulators are per-domain, not per-shard. Worker
+         [w] starts on task [w] ([jobs <= n]), so every granted domain
+         computes even when the calling domain could pull every task
+         before a spawned one starts; the rest is pulled dynamically. *)
       around ~worker:w (fun () ->
-          let rec loop () =
-            let i = Atomic.fetch_and_add next 1 in
+          let rec loop i =
             if i < n then begin
               results.(i) <- Some (f ~worker:w i items.(i));
-              loop ()
+              loop (Atomic.fetch_and_add next 1)
             end
           in
-          loop ())
+          loop w)
     in
     if jobs = 1 then worker 0 ()
     else begin

@@ -75,6 +75,7 @@ type stats = {
   revisions : int;
   entities_active : int;
   entities_evicted : int;
+  retained_events : int;
 }
 
 type result = {
@@ -613,7 +614,22 @@ let retire svc b =
   svc.n_evicted <- svc.n_evicted + n;
   Telemetry.Flight.record Evict ~a:b.id ~b:n ~c:b.last_seen ()
 
-let finalise_and_evict svc ~w ~now =
+(* Trim a bucket's history before the window of the first query after
+   [fq], the newest query no replay can precede, once at least a
+   window's worth is droppable, so idle buckets keep their compiled
+   program. *)
+let trim_finalised ~w b fq =
+  if Rtec.Stream.size b.stream > 0 then begin
+    let keep_from = fq - w + 2 in
+    if fst (Rtec.Stream.extent b.stream) < keep_from - w then
+      b.stream <- Rtec.Stream.drop_before b.stream keep_from
+  end
+
+(* [trim] holds on tick passes: at horizon 0 nothing is ever replayed,
+   so the last query is final, and a long-lived session keeps about two
+   windows per bucket. A drain ends the batch path, where trimming would
+   buy nothing. *)
+let finalise_and_evict svc ~w ~now ~trim =
   (match svc.prev_q with
   | Some pq when svc.cfg.horizon > 0 ->
     let boundary = pq - svc.cfg.horizon in
@@ -631,16 +647,11 @@ let finalise_and_evict svc ~w ~now =
             | [] -> b.pending <- List.rev kept
           in
           go [] b.pending;
-          (* Trim finalised history once at least a window's worth is
-             droppable, so idle buckets keep their compiled program. *)
-          match b.floor with
-          | Some (fq, _) when Rtec.Stream.size b.stream > 0 ->
-            let keep_from = fq - w + 2 in
-            if fst (Rtec.Stream.extent b.stream) < keep_from - w then
-              b.stream <- Rtec.Stream.drop_before b.stream keep_from
-          | _ -> ()
+          Option.iter (fun (fq, _) -> trim_finalised ~w b fq) b.floor
         end)
       svc.buckets
+  | Some pq when trim ->
+    List.iter (fun b -> if b.alive then trim_finalised ~w b pq) svc.buckets
   | _ -> ());
   (match (svc.cfg.ttl, now) with
   | Some ttl, Some now when not svc.collapsed ->
@@ -684,15 +695,18 @@ let capture_intervals svc =
      FvpMap.fold (fun fv spans acc -> (fv, spans) :: acc) merged [])
 
 let stats svc =
-  let queries, events =
+  let queries, events, retained =
     List.fold_left
-      (fun (q, e) b ->
-        match b.session with
-        | Some s when b.alive ->
-          let st : Rtec.Window.stats = Session.stats s in
-          (q + st.queries, e + st.events_processed)
-        | _ -> (q, e))
-      (svc.retired_queries, svc.retired_events)
+      (fun ((q, e, r) as acc) b ->
+        if not b.alive then acc
+        else
+          let r = r + Rtec.Stream.size b.stream in
+          match b.session with
+          | Some s ->
+            let st : Rtec.Window.stats = Session.stats s in
+            (q + st.queries, e + st.events_processed, r)
+          | None -> (q, e, r))
+      (svc.retired_queries, svc.retired_events, 0)
       svc.buckets
   in
   {
@@ -706,9 +720,10 @@ let stats svc =
     revisions = svc.n_revisions;
     entities_active = svc.n_active;
     entities_evicted = svc.n_evicted;
+    retained_events = retained;
   }
 
-let process_pass_inner svc ~w ~s ~now qs =
+let process_pass_inner svc ~w ~s ~now ~trim qs =
   (if qs <> [] && svc.lo = None then svc.lo <- Some (Option.value ~default:0 svc.ev_lo));
   let lo = Option.value ~default:0 svc.lo in
   let work =
@@ -758,14 +773,14 @@ let process_pass_inner svc ~w ~s ~now qs =
       svc.prev_q <- Some last;
       if svc.cfg.horizon > 0 then svc.processed <- List.rev_append qs svc.processed
     | [] -> ());
-    finalise_and_evict svc ~w ~now;
+    finalise_and_evict svc ~w ~now ~trim;
     if Rtec.Derivation.is_enabled () then Rtec.Derivation.publish_metrics ();
     Ok { intervals = capture_intervals svc; watermark = svc.ev_hi; stats = stats svc }
 
-let process_pass svc ~w ~s ~now qs =
+let process_pass svc ~w ~s ~now ~trim qs =
   let r =
     Telemetry.Metrics.time_us h_stage_evaluate (fun () ->
-        process_pass_inner svc ~w ~s ~now qs)
+        process_pass_inner svc ~w ~s ~now ~trim qs)
   in
   (match r with
   | Ok res when Telemetry.Flight.is_enabled () ->
@@ -794,7 +809,7 @@ let grid_until svc ~w ~s until =
 let tick svc ~now =
   match resolve_ws svc None with
   | Result.Error e -> Result.Error e
-  | Ok (w, s) -> process_pass svc ~w ~s ~now:(Some now) (grid_until svc ~w ~s now)
+  | Ok (w, s) -> process_pass svc ~w ~s ~now:(Some now) ~trim:true (grid_until svc ~w ~s now)
 
 let drain svc =
   let lo = Option.value ~default:0 svc.ev_lo in
@@ -808,7 +823,7 @@ let drain svc =
     let qs =
       match svc.prev_q with Some pq when pq >= hi -> qs | _ -> qs @ [ hi ]
     in
-    process_pass svc ~w ~s ~now:(Some hi) qs
+    process_pass svc ~w ~s ~now:(Some hi) ~trim:false qs
 
 (* --- batch seeding (the Runtime.run wrapper) --- *)
 

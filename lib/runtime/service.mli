@@ -68,6 +68,10 @@ type stats = {
   revisions : int;  (** bucket rollback-and-replay passes *)
   entities_active : int;
   entities_evicted : int;
+  retained_events : int;
+      (** events held in live bucket streams: finalised history is
+          trimmed on {!tick} passes, so a long session keeps about two
+          windows (plus the revision horizon) per bucket *)
 }
 
 type result = {
@@ -114,7 +118,9 @@ val tick : t -> now:int -> (result, string) Result.t
     once a full window has elapsed from the first event, then every
     step. Ticking beyond the watermark evaluates empty window suffixes —
     meaningful when wall-clock time passes without events. Also applies
-    TTL eviction, with [now] as the clock. *)
+    TTL eviction, with [now] as the clock, and trims bucket streams to
+    what later queries and revisions can still read — at horizon 0
+    everything before the window after the last query. *)
 
 val drain : t -> (result, string) Result.t
 (** Process every remaining query up to the watermark plus the final

@@ -206,6 +206,96 @@ let test_bad_lines_error_like_parser () =
       "happensAt(gap(v1), ).";
     ]
 
+(* --- chunked line framing (Io.Framer) ---
+
+   The oracle is the per-line reader the framer replaces:
+   [String.trim (input_line ic)] until [End_of_file], over the same
+   bytes in a file. *)
+
+let with_file bytes f =
+  let path = Filename.temp_file "framer" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      In_channel.with_open_bin path f)
+
+let oracle_lines bytes =
+  with_file bytes (fun ic ->
+      let rec go acc =
+        match input_line ic with
+        | line -> go (String.trim line :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
+(* Frame [bytes] as the given sequence of read sizes (the last read
+   takes whatever is left). *)
+let framed_split bytes sizes =
+  let t = Io.Framer.create () and out = ref [] in
+  let emit line = out := line :: !out in
+  let b = Bytes.of_string bytes and n = String.length bytes in
+  let rec go off = function
+    | _ when off >= n -> ()
+    | [] -> Io.Framer.feed t b off (n - off) emit
+    | k :: rest ->
+      let k = min k (n - off) in
+      Io.Framer.feed t b off k emit;
+      go (off + k) rest
+  in
+  go 0 sizes;
+  Io.Framer.finish t emit;
+  List.rev !out
+
+let framed_channel bytes =
+  with_file bytes (fun ic ->
+      let t = Io.Framer.create () and out = ref [] in
+      while Io.Framer.read t ic (fun line -> out := line :: !out) do
+        ()
+      done;
+      List.rev !out)
+
+(* Byte strings dense in line structure: newlines, CRLF, blanks,
+   [%] comments, protocol-looking text, and long lines. *)
+let gen_framed_bytes =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (0 -- 30)
+         (oneof
+            [
+              oneofl [ "\n"; "\r\n"; " "; "\t"; "\r"; "%"; "% note\n"; "tick(7).\n" ];
+              oneofl [ "happensAt(gap(v1), 5)."; "a"; "bc"; "\012" ];
+              map (fun n -> String.make n 'x') (0 -- 40);
+            ])))
+
+let arbitrary_framing =
+  QCheck.make
+    ~print:(fun (s, sizes) ->
+      Printf.sprintf "%S split %s" s (String.concat "," (List.map string_of_int sizes)))
+    QCheck.Gen.(pair gen_framed_bytes (list_size (0 -- 12) (1 -- 9)))
+
+let prop_framer_matches_input_line (bytes, sizes) =
+  framed_split bytes sizes = oracle_lines bytes
+
+let test_framer_cases () =
+  let check name bytes expected =
+    Alcotest.(check (list string)) (name ^ ": oracle") expected (oracle_lines bytes);
+    Alcotest.(check (list string)) (name ^ ": channel") expected (framed_channel bytes);
+    Alcotest.(check (list string))
+      (name ^ ": one-byte reads")
+      expected
+      (framed_split bytes (List.init (String.length bytes) (fun _ -> 1)))
+  in
+  check "empty input" "" [];
+  check "CRLF endings" "a\r\nb\r\n" [ "a"; "b" ];
+  check "blank lines kept" "\n\n  \nx\n" [ ""; ""; ""; "x" ];
+  check "comments kept" "% head\nhappensAt(gap(v1), 5).\n" [ "% head"; "happensAt(gap(v1), 5)." ];
+  check "unterminated last line" "tick(1).\nhappensAt(gap(v1), 5)." [ "tick(1)."; "happensAt(gap(v1), 5)." ];
+  check "lone carriage return at end" "a\n\r" [ "a"; "" ];
+  (* Longer than one 64 KiB read: the channel path reassembles it too. *)
+  let long = String.make 150_000 'y' in
+  check "line longer than a read" ("  " ^ long ^ "  \r\nz\n") [ long; "z" ]
+
 let suite =
   [
     qtest "codec == parser on generated chunks" arbitrary_chunk prop_codec_matches_parser;
@@ -216,4 +306,7 @@ let suite =
     Alcotest.test_case "subset edge cases match the parser" `Quick test_codec_subset_edges;
     Alcotest.test_case "malformed lines error like the parser" `Quick
       test_bad_lines_error_like_parser;
+    Alcotest.test_case "framer edge cases match input_line" `Quick test_framer_cases;
+    qtest "framer == input_line under any read split" arbitrary_framing
+      prop_framer_matches_input_line;
   ]

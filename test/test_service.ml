@@ -225,6 +225,99 @@ let test_ttl_eviction () =
       "evicted history stays frozen in the result" true
       (exact (Lazy.force r.intervals) = small_batch all)
 
+(* --- bounded memory at horizon 0 --- *)
+
+(* The serve default: horizon 0, in-order delivery, a tick at every grid
+   step once the watermark has passed it. Nothing can be revised, so each
+   tick trims every bucket to the window after the last query: a bucket
+   never holds an event older than two windows before that query (the
+   trim waits for a full window of droppable history). The session must
+   still recognise exactly what the batch run does. *)
+let check_bounded_h0 ~name ~event_description ~knowledge ~stream =
+  let w = 3600 and s = 1800 in
+  let expected = batch ~jobs:1 ~compile:true ~event_description ~knowledge ~stream () in
+  let svc =
+    Service.create ~config:(Service.config ~window:w ~step:s ()) ~event_description ~knowledge ()
+  in
+  Service.ingest svc
+    (List.map (fun (fv, spans) -> Stream.Fluent (fv, spans)) (Stream.input_fluents stream));
+  let events = Array.of_list (Stream.events stream) in
+  let first_q = fst (Stream.extent stream) + w - 1 in
+  let ingested = ref 0 and last_tick = ref None and ticks = ref 0 and peak = ref 0 in
+  List.iter
+    (fun chunk ->
+      Service.ingest svc (List.map (fun e -> Stream.Event e) chunk);
+      ingested := !ingested + List.length chunk;
+      (* Every event up to [now] has arrived: the next one is later. *)
+      let now = Option.get (Service.watermark svc) - 1 in
+      if now >= first_q && match !last_tick with None -> true | Some t -> now >= t + s
+      then
+        match Service.tick svc ~now with
+        | Error e -> Alcotest.failf "tick failed: %s" e
+        | Ok r ->
+          last_tick := Some now;
+          incr ticks;
+          let last_q = first_q + ((now - first_q) / s * s) in
+          let bound = ref 0 in
+          for i = 0 to !ingested - 1 do
+            if events.(i).Stream.time >= last_q - (2 * w) + 2 then incr bound
+          done;
+          peak := max !peak r.stats.retained_events;
+          if r.stats.retained_events > !bound then
+            Alcotest.failf "%s: %d events retained after the query at %d, bound %d" name
+              r.stats.retained_events last_q !bound)
+    (chunks 64 (Array.to_list events));
+  match Service.drain svc with
+  | Error e -> Alcotest.failf "drain failed: %s" e
+  | Ok (r : Service.result) ->
+    Alcotest.(check bool) (name ^ ": a long ticked session") true (!ticks >= 8);
+    Alcotest.(check int) (name ^ ": nothing late") 0 r.stats.late_events;
+    Alcotest.(check bool)
+      (name ^ ": history was trimmed")
+      true
+      (!peak < Array.length events / 2 && r.stats.retained_events < Array.length events);
+    Alcotest.(check bool) (name ^ ": batch recognises something") true (expected <> []);
+    Alcotest.(check bool)
+      (name ^ ": horizon-0 ticked session == batch")
+      true
+      (exact (Lazy.force r.intervals) = expected)
+
+let test_bounded_h0_maritime () =
+  let data =
+    Maritime.Dataset.generate
+      ~config:{ Maritime.Dataset.seed = 99; replicas = 1; nominal = 2 } ()
+  in
+  check_bounded_h0 ~name:"maritime" ~event_description:Maritime.Gold.event_description
+    ~knowledge:data.knowledge ~stream:data.stream
+
+(* [intDurGreater] makes the description window-sensitive, so every
+   query re-evaluates its whole window instead of the delta since the
+   last one: a trim that cut into the next window would show. *)
+let test_bounded_h0_window_sensitive () =
+  let data =
+    Maritime.Dataset.generate
+      ~config:{ Maritime.Dataset.seed = 99; replicas = 1; nominal = 2 } ()
+  in
+  let long_underway =
+    Parser.parse_definition ~name:"longUnderWay"
+      "holdsFor(longUnderWay(Vessel)=true, I) :- \
+       holdsFor(underWay(Vessel)=true, I1), intDurGreater(I1, 1200, I)."
+  in
+  let event_description = Maritime.Gold.event_description @ [ long_underway ] in
+  Alcotest.(check bool)
+    "description is window-sensitive" false
+    (Dependency.window_insensitive event_description);
+  check_bounded_h0 ~name:"maritime+intDurGreater" ~event_description
+    ~knowledge:data.knowledge ~stream:data.stream
+
+let test_bounded_h0_fleet () =
+  let stream, knowledge =
+    Fleet.generate ~config:{ Fleet.default_config with hours = 12 } ()
+  in
+  check_bounded_h0 ~name:"fleet"
+    ~event_description:(Domain.event_description Fleet.domain)
+    ~knowledge ~stream
+
 let suite =
   [
     Alcotest.test_case "out-of-order replay == batch (maritime)" `Quick
@@ -237,4 +330,10 @@ let suite =
       test_beyond_horizon_drops;
     Alcotest.test_case "idle entities are evicted, history frozen" `Quick
       test_ttl_eviction;
+    Alcotest.test_case "horizon-0 ticking keeps two windows (maritime)" `Quick
+      test_bounded_h0_maritime;
+    Alcotest.test_case "horizon-0 ticking keeps two windows (fleet)" `Quick
+      test_bounded_h0_fleet;
+    Alcotest.test_case "horizon-0 ticking keeps two windows (window-sensitive)" `Quick
+      test_bounded_h0_window_sensitive;
   ]
